@@ -3,8 +3,10 @@
 Buckets partition the key range [k, d_max] into the binary
 decomposition the paper uses: eight single-key buckets for
 k, k+1, ..., k+7, then ranges of size 8, 16, 32, ... (the "first eight
-buckets are single-key" optimization of Sec. 5.2). Each bucket is a
-parallel hash bag. DECREASEKEY inserts the vertex into its new bucket
+buckets are single-key" optimization of Sec. 5.2). In the paper each
+bucket is a parallel hash bag; here a bucket is a list of id arrays
+priced as one: an extraction of t ids costs LAMBDA + t, and each move
+costs MOVE_WEIGHT. DECREASEKEY inserts the vertex into its new bucket
 without deleting the old copy (lazy deletion); stale copies are
 filtered at extraction. GETNEXTBUCKET extracts the first bucket
 covering the current k and, if it spans more than one key, splits it
@@ -21,16 +23,19 @@ import numpy as np
 
 from repro.bucket.interface import ACTIVE, MOVE_WEIGHT, FrontierStructure
 from repro.bucket.single import SingleBucket
-from repro.hashbag import HashBag
+
+# Hash-bag chunk size: extracting t elements from a bucket costs
+# O(LAMBDA + t) (paper Sec. 2).
+LAMBDA = 64
 
 
 class _Bucket:
-    __slots__ = ("lo", "hi", "bag", "serial")
+    __slots__ = ("lo", "hi", "parts", "serial")
 
     def __init__(self, lo: int, hi: int, serial: int):
         self.lo = lo
         self.hi = hi
-        self.bag = HashBag(lam=64)
+        self.parts: list[np.ndarray] = []
         self.serial = serial
 
 
@@ -51,11 +56,10 @@ def _split_sizes(length: int) -> list[int]:
 
 
 class HBS(FrontierStructure):
-    """Hierarchical bucketing structure over hash bags."""
+    """Hierarchical bucketing structure."""
 
-    def __init__(self, n: int, *, lam: int = 64):
+    def __init__(self, n: int):
         super().__init__(n)
-        self.lam = lam
         self.buckets: list[_Bucket] = []
         self.los = np.empty(0, dtype=np.int64)
         self.vertex_serial = np.full(n, -1, dtype=np.int64)
@@ -82,7 +86,7 @@ class HBS(FrontierStructure):
     def _insert(self, bucket: _Bucket, ids: np.ndarray) -> None:
         if len(ids) == 0:
             return
-        bucket.bag.insert_many(ids)
+        bucket.parts.append(ids)
         self.vertex_serial[ids] = bucket.serial
 
     # -- interface ---------------------------------------------------------
@@ -104,8 +108,9 @@ class HBS(FrontierStructure):
     def _extract_valid(
         self, bucket: _Bucket, deg: np.ndarray, state: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        items = bucket.bag.extract_all()
-        cost = float(len(items) + self.lam)
+        items = np.concatenate(bucket.parts or [np.empty(0, dtype=np.int64)])
+        bucket.parts = []
+        cost = float(len(items) + LAMBDA)
         if len(items) == 0:
             return items, cost
         valid = (self.vertex_serial[items] == bucket.serial) & (
@@ -176,21 +181,13 @@ class HBS(FrontierStructure):
         self.moves += len(movers)
         return MOVE_WEIGHT * len(movers)
 
-    def counters(self) -> dict:
-        c = super().counters()
-        c["hashbag_probes"] = int(
-            sum(b.bag.probes for b in self.buckets)
-        )
-        return c
-
 
 class AdaptiveHBS(FrontierStructure):
     """Paper's final design: SingleBucket until round theta, then HBS."""
 
-    def __init__(self, n: int, *, theta: int = 16, lam: int = 64):
+    def __init__(self, n: int, *, theta: int = 16):
         super().__init__(n)
         self.theta = theta
-        self.lam = lam
         self.inner: FrontierStructure = SingleBucket(n)
         self.switched = False
 
@@ -203,7 +200,7 @@ class AdaptiveHBS(FrontierStructure):
             assert isinstance(self.inner, SingleBucket)
             survivors = self.inner.active
             survivors = survivors[state[survivors] == ACTIVE]
-            hbs = HBS(self.n, lam=self.lam)
+            hbs = HBS(self.n)
             cost = hbs.build(survivors, np.maximum(deg, k)) if len(survivors) else 0.0
             self._merge_counters()
             self.inner = hbs

@@ -8,9 +8,10 @@ worklist-based system.
 
 We implement:
 
-- ``kcore_subgraph``        ours-adapted: online subround peeling with
-  VGC local queues and the sampling scheme, on the machine simulator's
-  cost model (one "round", many subrounds).
+- ``kcore_subgraph``        ours-adapted: the full decomposition's
+  engine (online subround peeling with VGC local queues, sampling and
+  adaptive HBS) run for rounds 0..k'-1 only, on the machine simulator's
+  cost model.
 - ``kcore_subgraph_galois`` the Galois-like baseline: an asynchronous
   worklist — no subround barriers (no omega per subround), but every
   activated task pays Galois's per-activity worklist overhead and full
@@ -30,6 +31,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.bucket.interface import PEELED
 from repro.graphs.csr import CSR
 from repro.simcpu.engine import AlgoConfig, _Engine
 from repro.simcpu.machine import MachineConfig
@@ -39,36 +41,11 @@ from repro.simcpu.metrics import RunMetrics
 def _peel_below(
     g: CSR, kprime: int, algo: AlgoConfig, machine: MachineConfig
 ) -> tuple[np.ndarray, RunMetrics]:
-    """Run the engine but stop after round k'-1: everything with
-    coreness < k' is peeled; survivors are the k'-core."""
+    """Run the engine up to, not including, round k': everything with
+    coreness < k' is peeled; the survivors are the k'-core."""
     eng = _Engine(g, algo, machine, collect=False)
-    build_cost = eng.structure.build(np.arange(g.n, dtype=np.int64), eng.deg)
-    eng._charge_parallel(build_cost, 1)
-    if algo.sampling:
-        eng._set_sampler(np.arange(g.n, dtype=np.int64), 0)
-        eng._charge_parallel(float(g.n), 1)
-    for k in range(kprime):
-        if not (eng.state != 2).any():
-            break  # everything peeled: the k'-core is empty
-        frontier, cost = eng.structure.next_frontier(k, eng.deg, eng.state)
-        eng._charge_parallel(cost, 1)
-        if algo.sampling:
-            joins = eng._validate(k)
-            if len(joins):
-                frontier = np.unique(np.concatenate([frontier, joins]))
-        eng.state[frontier] = 1
-        while len(frontier):
-            eng.core[frontier] = k
-            eng.state[frontier] = 2
-            eng.met.rho += 1
-            if algo.vgc:
-                frontier, _ = eng._peel_local(frontier, k, per_thread=False)
-            else:
-                frontier = eng._peel_batch(frontier, k)
-        eng.met.rounds += 1
-    member = eng.state != 2
-    eng.met.t_seq_units = eng.met.work * machine.t_op
-    return member, eng.met
+    _, met = eng.run(stop_round=kprime)
+    return eng.state != PEELED, met
 
 
 def kcore_subgraph(
@@ -106,10 +83,11 @@ def kcore_subgraph_galois(
 ) -> tuple[np.ndarray, RunMetrics]:
     """Galois-like asynchronous worklist baseline.
 
-    Executes the same peeling (so the mask is exact), but the cost
-    model has no subround syncs: time = work/P + per-activity worklist
-    overhead (t_task per processed vertex) + full contention serialized
-    on the hottest location (no sampling)."""
+    Executes the same engine run, plain batch peeling to round k' (so
+    the mask is exact), then re-prices its metrics: no subround syncs,
+    so time = work/P + per-activity worklist overhead (t_task per
+    processed vertex) + full contention serialized on the hottest
+    location (no sampling)."""
     machine = machine or MachineConfig()
     algo = AlgoConfig(name="galois", structure="single", vgc=False, sampling=False)
     member, met = _peel_below(g, kprime, algo, machine)
@@ -123,8 +101,13 @@ def kcore_subgraph_galois(
 
 
 def _is_kcore(g: CSR, member: np.ndarray, kprime: int) -> bool:
-    """Every member has >= k' member neighbors, and the peeled part is
-    certified by re-peeling (used as the sampling recovery check)."""
+    """Every member has >= k' member neighbors (the sampling recovery
+    check). This is complete: sampling only leaves degrees too high (a
+    sampled vertex's counter stands in for its decrements), so a vertex
+    peeled in round k < k' had at most k live neighbors and cannot be in
+    the maximum k'-core. The members are therefore always a superset of
+    it, and a superset in which every member keeps >= k' member
+    neighbors is a k'-core, hence the maximum one."""
     if not member.any():
         return True
     src = np.repeat(np.arange(g.n), np.diff(g.indptr))

@@ -425,7 +425,11 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> tuple[np.ndarray, RunMetrics]:
+    def run(self, stop_round: int | None = None) -> tuple[np.ndarray, RunMetrics]:
+        """Peel to completion, or stop before round ``stop_round``: then
+        the vertices of coreness < stop_round are PEELED and the rest
+        form the maximum stop_round-core (Appendix B; with sampling, the
+        caller checks this Las Vegas result)."""
         build_cost = self.structure.build(np.arange(self.n, dtype=np.int64), self.deg)
         self._charge_parallel(build_cost, 1)
         if self.algo.sampling:
@@ -433,7 +437,7 @@ class _Engine:
             self._charge_parallel(float(self.n), 1)
         remaining = self.n
         k = 0
-        while remaining > 0:
+        while remaining > 0 and (stop_round is None or k < stop_round):
             frontier, cost = self.structure.next_frontier(k, self.deg, self.state)
             self._charge_parallel(cost, 1)
             self.state[frontier] = QUEUED

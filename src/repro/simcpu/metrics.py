@@ -1,6 +1,7 @@
 """Measured + modeled metrics for one simulated k-core run."""
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 
@@ -42,3 +43,25 @@ class RunMetrics:
 
     def self_speedup(self) -> float:
         return self.t_seq_units / self.t_par_units if self.t_par_units else 0.0
+
+    def row(self, machine) -> dict:
+        """The flat metrics row of one table cell (seconds for times)."""
+        return {
+            "n": self.n,
+            "m": self.m,
+            "kmax": self.kmax,
+            "rounds": self.rounds,
+            "rho": self.rho,
+            "work": float(self.work),
+            "t_par": self.t_par_seconds(machine),
+            "t_seq": self.t_seq_seconds(machine),
+            "bspan": float(self.bspan_units),
+            "max_contention": self.max_contention,
+            "max_chain": self.max_chain,
+            "restarts": self.restarts,
+            "n_sampled": self.n_sampled,
+            "resamples": self.resamples,
+            "scanned": self.structure.get("scanned", 0),
+            "moves": self.structure.get("moves", 0),
+            "subrounds_json": json.dumps(self.subrounds_per_round),
+        }

@@ -8,8 +8,6 @@ frame with one row per cell — the raw material for every table.
 """
 from __future__ import annotations
 
-import json
-
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -77,58 +75,25 @@ def run_cells(
         from repro.graphs.suite import load_graph
         from repro.seq.bz import bz_kcore
         from repro.simcpu.engine import run_kcore
+        from repro.simcpu.metrics import RunMetrics
 
         reg = algo_registry()
         out = []
         for _, row in part.iterrows():
             g = load_graph(row["graph"], row["scale"])
-            base = {
-                "graph": row["graph"],
-                "algo": row["algo"],
-                "scale": row["scale"],
-                "n": g.n,
-                "m": g.m,
-            }
             if row["algo"] == "bz":
                 res = bz_kcore(g)
                 t = res.work * machine.t_op
-                out.append(
-                    base
-                    | {
-                        "kmax": int(res.core.max()),
-                        "rounds": 0, "rho": 0,
-                        "work": float(res.work),
-                        "t_par": machine.seconds(t),
-                        "t_seq": machine.seconds(t),
-                        "bspan": 0.0, "max_contention": 0, "max_chain": 0,
-                        "restarts": 0, "n_sampled": 0, "resamples": 0,
-                        "scanned": 0, "moves": 0, "subrounds_json": "[]",
-                    }
+                met = RunMetrics(
+                    n=g.n, m=g.m, kmax=int(res.core.max()), work=float(res.work),
+                    t_par_units=t, t_seq_units=t,
                 )
-                continue
-            _, met = run_kcore(
-                g, reg[row["algo"]], machine, collect_subrounds=collect_subrounds
-            )
-            out.append(
-                base
-                | {
-                    "kmax": met.kmax,
-                    "rounds": met.rounds,
-                    "rho": met.rho,
-                    "work": float(met.work),
-                    "t_par": met.t_par_seconds(machine),
-                    "t_seq": met.t_seq_seconds(machine),
-                    "bspan": float(met.bspan_units),
-                    "max_contention": met.max_contention,
-                    "max_chain": met.max_chain,
-                    "restarts": met.restarts,
-                    "n_sampled": met.n_sampled,
-                    "resamples": met.resamples,
-                    "scanned": met.structure.get("scanned", 0),
-                    "moves": met.structure.get("moves", 0),
-                    "subrounds_json": json.dumps(met.subrounds_per_round),
-                }
-            )
+            else:
+                _, met = run_kcore(
+                    g, reg[row["algo"]], machine, collect_subrounds=collect_subrounds
+                )
+            key = {"graph": row["graph"], "algo": row["algo"], "scale": row["scale"]}
+            out.append(key | met.row(machine))
         return pd.DataFrame(out)
 
     return (

@@ -1,5 +1,16 @@
 """Machine-simulator engine: exact coreness for every algorithm config
-on every mini suite graph, plus metric-shape properties."""
+on every mini suite graph, plus metric-shape properties.
+
+``test_exact_coreness`` also pins each run's simulated statistics to
+``tests/data/sim_listing_mini.json``, so any change to the cost model or
+to what the peeling executes shows up here. After a deliberate model
+change, regenerate the file with::
+
+    PYTHONPATH=src python -m tests.test_engine
+"""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +37,22 @@ CONFIGS = {
 }
 
 
+LISTING = Path(__file__).parent / "data" / "sim_listing_mini.json"
+SIM_FIELDS = (
+    "rho", "rounds", "work", "t_par_units", "bspan_units", "max_contention",
+    "max_chain", "resamples", "n_sampled", "structure",
+)
+
+
+def sim_fields(met) -> dict:
+    return {f: getattr(met, f) for f in SIM_FIELDS}
+
+
+@pytest.fixture(scope="module")
+def listing():
+    return json.loads(LISTING.read_text())
+
+
 @pytest.fixture(scope="module")
 def truth_cache():
     cache = {}
@@ -40,11 +67,12 @@ def truth_cache():
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("graph", GRAPHS)
-def test_exact_coreness(graph, config, truth_cache):
+def test_exact_coreness(graph, config, truth_cache, listing):
     g = load_graph(graph, "mini")
     core, met = run_kcore(g, CONFIGS[config])
     assert np.array_equal(core, truth_cache(graph)), (graph, config)
     assert met.kmax == truth_cache(graph).max()
+    assert sim_fields(met) == listing[f"{graph}/{config}"], (graph, config)
 
 
 @pytest.mark.parametrize("graph", ["GRID", "TW", "HCNS", "CH5"])
@@ -176,3 +204,14 @@ def test_rounds_equal_kmax_plus_one():
     g = load_graph("CUBE", "mini")
     _, met = run_kcore(g, OURS_PLAIN)
     assert met.rounds == met.kmax + 1
+
+
+if __name__ == "__main__":
+    rows = {
+        f"{graph}/{config}": sim_fields(run_kcore(load_graph(graph, "mini"), algo)[1])
+        for graph in GRAPHS
+        for config, algo in sorted(CONFIGS.items())
+    }
+    lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in rows.items())
+    LISTING.parent.mkdir(exist_ok=True)
+    LISTING.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -3,6 +3,7 @@ baseline, and the dataflow fixpoint all agree with coreness >= k'."""
 import numpy as np
 import pytest
 
+from repro.bucket.interface import PEELED
 from repro.core.subgraph import (
     kcore_subgraph,
     kcore_subgraph_dataflow,
@@ -11,6 +12,9 @@ from repro.core.subgraph import (
 from repro.graphs import generators as gen
 from repro.graphs.spark_graph import edges_to_df
 from repro.seq.bz import bz_kcore
+from repro.simcpu.configs import PKC
+from repro.simcpu.engine import _Engine
+from repro.simcpu.machine import MachineConfig
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +70,23 @@ def test_variants_without_techniques(hub_graph):
         for sampling in (False, True):
             mask, _ = kcore_subgraph(g, 6, vgc=vgc, sampling=sampling)
             assert np.array_equal(mask, core >= 6), (vgc, sampling)
+
+
+@pytest.mark.parametrize("k", [8, 25])
+def test_subgraph_reports_engine_metrics(hub_graph, k):
+    """k'-core queries run the decomposition's own loop, so sampling,
+    k_max and bucket counters are reported as for a full run."""
+    g, _ = hub_graph
+    _, met = kcore_subgraph(g, k)
+    assert met.n_sampled > 0
+    assert met.structure
+    assert met.kmax < k
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_stop_round_with_pkc_buffers(hub_graph, k):
+    g, core = hub_graph
+    eng = _Engine(g, PKC, MachineConfig(), collect=False)
+    _, met = eng.run(stop_round=k)
+    assert np.array_equal(eng.state != PEELED, core >= k)
+    assert met.rounds <= k
