@@ -11,10 +11,14 @@ addressed to a sample-mode vertex is kept only with probability
 hot keys receive O(mu) rows per resample epoch instead of O(d(v)).
 
 State columns per vertex: deg (stale while sampled), core, smode, rate,
-cnt. Each round runs Validate; each subround splits the removal
+cnt, ever (has been in sample mode). Each subround splits the removal
 messages into sampled hits (cnt += hits, resample at cnt >= mu) and
 plain decrements. Resampling recounts the true induced degree with a
-join against the active set (Alg. 5's Resample).
+join against the active set (Alg. 5's Resample). Validate runs at the
+end of each round k, before k advances: a sampled vertex whose true
+induced degree dropped to k during the round is resampled and peeled
+in that round, and the subround loop runs again while Validate yields
+frontier vertices (Sec. 4.1.2/4.1.4).
 
 The run records the max per-destination message count per subround with
 and without sampling — the measured skew-reduction, Table/Fig. 11's
@@ -57,6 +61,7 @@ def _set_sampler(state: DataFrame, k: int, mu: int, r: float, threshold: int):
         .otherwise(F.col("rate"))
         .alias("rate"),
         F.when(F.col("reset"), F.lit(0)).otherwise(F.col("cnt")).alias("cnt"),
+        (F.col("ever") | on).alias("ever"),
     )
 
 
@@ -88,6 +93,7 @@ def kcore_dataflow_sampling(
         .withColumn("smode", F.lit(False))
         .withColumn("rate", F.lit(0.0))
         .withColumn("cnt", F.lit(0))
+        .withColumn("ever", F.lit(False))
     )
     if enable:
         state = _set_sampler(state.withColumn("reset", F.lit(True)), 0, mu, r, threshold)
@@ -100,81 +106,96 @@ def kcore_dataflow_sampling(
         active = state.where(F.col("core") == -1)
         if active.isEmpty():
             break
-        if enable:
-            # Validate (Alg. 5): failures get resampled (recounted).
+        frontier = _frontier(state, k)
+        while True:
+            while not frontier.isEmpty():
+                iters += 1
+                subround_id += 1
+                stats.subrounds += 1
+                if iters > max_iterations:
+                    raise RuntimeError("sampling dataflow exceeded iteration budget")
+                state = _peel_subround(state, edges, frontier, k, subround_id, seed, stats)
+                if enable:
+                    # Vertices with enough samples: recount + resample.
+                    full = F.col("smode") & (F.col("cnt") >= mu)
+                    state, n_res = _resample(spark, edges, state, full, k, mu, r, threshold)
+                    stats.resamples += n_res
+                if stats.subrounds % checkpoint_every == 0:
+                    state = state.localCheckpoint()
+                frontier = _frontier(state, k)
+            if not enable:
+                break
+            # Validate (Alg. 5) at the end of round k: failures get
+            # resampled (recounted) and may join this round's frontier.
             invalid = F.col("smode") & ~(
                 (F.col("deg") * r > k)
                 & (F.col("cnt") < F.col("rate") * (F.col("deg") - k) / 4.0)
             )
             state, n_res = _resample(spark, edges, state, invalid, k, mu, r, threshold)
             stats.resamples += n_res
-        frontier = (
-            state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
-            .select("id")
-            .localCheckpoint()
-        )
-        while not frontier.isEmpty():
-            iters += 1
-            subround_id += 1
-            stats.subrounds += 1
-            if iters > max_iterations:
-                raise RuntimeError("sampling dataflow exceeded iteration budget")
-            state = state.join(
-                frontier.withColumn("is_f", F.lit(1)), "id", "left"
-            ).select(
-                "id", "deg",
-                F.when(F.col("is_f") == 1, k).otherwise(F.col("core")).alias("core"),
-                "smode", "rate", "cnt",
-            )
-            # Removal messages of this subround.
-            msgs = edges.join(frontier.withColumnRenamed("id", "src"), "src")
-            # Route per destination's sampler mode.
-            routed = msgs.join(
-                state.select(
-                    F.col("id").alias("dst"), "smode", F.col("rate").alias("p")
-                ),
-                "dst",
-            )
-            coin = (
-                F.pmod(F.xxhash64("src", "dst", F.lit(subround_id), F.lit(seed)), 1_000_000)
-                / 1_000_000.0
-            )
-            kept = routed.where(~F.col("smode") | (coin < F.col("p")))
-            decr = kept.groupBy(F.col("dst").alias("id"), "smode").agg(
-                F.count("*").alias("c")
-            ).localCheckpoint()
-            skew = decr.agg(F.max("c")).collect()[0][0]
-            stats.max_dst_messages = max(stats.max_dst_messages, int(skew or 0))
-            state = state.join(decr.select("id", "c", F.col("smode").alias("sm2")), "id", "left").select(
-                "id",
-                F.when(F.col("sm2").isNull() | ~F.col("sm2"), F.col("deg") - F.coalesce("c", F.lit(0)))
-                .otherwise(F.col("deg"))
-                .alias("deg"),
-                "core",
-                "smode",
-                "rate",
-                F.when(F.col("sm2") == True, F.col("cnt") + F.col("c"))  # noqa: E712
-                .otherwise(F.col("cnt"))
-                .alias("cnt"),
-            )
-            if enable:
-                # Vertices with enough samples: recount + resample.
-                full = F.col("smode") & (F.col("cnt") >= mu)
-                state, n_res = _resample(spark, edges, state, full, k, mu, r, threshold)
-                stats.resamples += n_res
-            if stats.subrounds % checkpoint_every == 0:
-                state = state.localCheckpoint()
-            frontier = (
-                state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
-                .select("id")
-                .localCheckpoint()
-            )
+            if n_res == 0:
+                break
+            frontier = _frontier(state, k)
         state = state.localCheckpoint()
         stats.rounds += 1
         k += 1
     if enable:
-        stats.n_sampled = stats.resamples
+        stats.n_sampled = state.where(F.col("ever")).count()
     return state.select("id", F.col("core").alias("coreness")), stats
+
+
+def _frontier(state: DataFrame, k: int) -> DataFrame:
+    """Active, non-sampled vertices of induced degree <= k."""
+    return (
+        state.where((F.col("core") == -1) & ~F.col("smode") & (F.col("deg") <= k))
+        .select("id")
+        .localCheckpoint()
+    )
+
+
+def _peel_subround(state, edges, frontier, k, subround_id, seed, stats):
+    """Peel ``frontier`` at coreness k: plain destinations lose one
+    degree per removal message, sample-mode ones count the messages
+    their per-edge Bernoulli coin keeps."""
+    state = state.join(
+        frontier.withColumn("is_f", F.lit(1)), "id", "left"
+    ).select(
+        "id", "deg",
+        F.when(F.col("is_f") == 1, k).otherwise(F.col("core")).alias("core"),
+        "smode", "rate", "cnt", "ever",
+    )
+    # Removal messages of this subround.
+    msgs = edges.join(frontier.withColumnRenamed("id", "src"), "src")
+    # Route per destination's sampler mode.
+    routed = msgs.join(
+        state.select(
+            F.col("id").alias("dst"), "smode", F.col("rate").alias("p")
+        ),
+        "dst",
+    )
+    coin = (
+        F.pmod(F.xxhash64("src", "dst", F.lit(subround_id), F.lit(seed)), 1_000_000)
+        / 1_000_000.0
+    )
+    kept = routed.where(~F.col("smode") | (coin < F.col("p")))
+    decr = kept.groupBy(F.col("dst").alias("id"), "smode").agg(
+        F.count("*").alias("c")
+    ).localCheckpoint()
+    skew = decr.agg(F.max("c")).collect()[0][0]
+    stats.max_dst_messages = max(stats.max_dst_messages, int(skew or 0))
+    return state.join(decr.select("id", "c", F.col("smode").alias("sm2")), "id", "left").select(
+        "id",
+        F.when(F.col("sm2").isNull() | ~F.col("sm2"), F.col("deg") - F.coalesce("c", F.lit(0)))
+        .otherwise(F.col("deg"))
+        .alias("deg"),
+        "core",
+        "smode",
+        "rate",
+        F.when(F.col("sm2") == True, F.col("cnt") + F.col("c"))  # noqa: E712
+        .otherwise(F.col("cnt"))
+        .alias("cnt"),
+        "ever",
+    )
 
 
 def _resample(spark, edges, state, cond, k, mu, r, threshold):
@@ -205,6 +226,7 @@ def _resample(spark, edges, state, cond, k, mu, r, threshold):
             F.when(F.col("reset"), F.lit(False)).otherwise(F.col("smode")).alias("smode"),
             "rate",
             "cnt",
+            "ever",
             F.coalesce("reset", F.lit(False)).alias("reset"),
         )
     )

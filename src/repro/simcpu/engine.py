@@ -28,12 +28,24 @@ process described by an :class:`AlgoConfig` on a CSR graph:
 The executions are real (every decrement happens on real arrays; the
 result is exact coreness, asserted against BZ in tests); only the
 conversion of measured events to time uses the machine cost model.
+
+How the host runs the VGC/PKC local searches is separate from what they
+are charged. Each subround's searches run element by element on Python
+lists: ``indptr``/``adj`` are mirrored once per run, on the first local
+search, and ``deg``/``state``/``smode`` are snapshotted after the
+subround's batch phase and written back, touched entries only, when its
+searches end. The peeling and its charges depend only on the FIFO pop
+order, the take/spill prefix split, one ``rng.random`` draw per pop
+with active sampled neighbours (in neighbour order) and the
+sample-counter increments, which the list form keeps exactly; the cost
+model does not see how the host runs the search.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -275,72 +287,90 @@ class _Engine:
             dropped = np.concatenate([dropped, joins])
         return dropped
 
+    @cached_property
+    def _csr_lists(self) -> tuple[list, list]:
+        """Python-list mirrors of ``indptr``/``adj`` for the local
+        searches, built once per run on first use. The ``adj`` mirror
+        shares one int object per vertex id, so it costs a pointer per
+        directed edge."""
+        ids = np.arange(self.n).astype(object)
+        return self.indptr.tolist(), ids[self.adj].tolist()
+
     def _local_search(
         self,
         v: int,
         k: int,
         qcap: float,
         work_cap: float,
-        next_parts: list,
-        resample_parts: list,
-        dec_parts: list,
-        cont_parts: list,
-    ) -> tuple[int, int]:
+        deg: list,
+        state: list,
+        smode: list | None,
+        log: tuple[list, list, list, list, list],
+    ) -> int:
         """Run one local search from v (already peeled by the caller).
         Chaining stops at ``qcap`` enqueued vertices or ``work_cap``
-        touched work. Returns (chain work, vertices peeled inside)."""
+        touched work. Returns the chain work.
+
+        Works element by element on the subround's list snapshots
+        ``deg``/``state``/``smode`` and appends to ``log`` = (popped,
+        decremented, taken, spilled, full-sampler) ids; the caller
+        writes the touched entries back. Per popped vertex, its
+        neighbours are visited in adjacency order: active plain ones
+        are decremented, and those dropping to <= k are taken into the
+        FIFO queue until the first one that breaks the queue or work
+        budget; that one and every later one spill to the next
+        frontier (both budgets only tighten, so this is a prefix
+        split). Active sampled neighbours then get one
+        ``rng.random(len(sampled))`` draw, in neighbour order.
+        """
+        ip, adj = self._csr_lists
+        popped, dec, taken, spilled, full = log
+        sampling = self.algo.sampling
         queue: deque = deque([v])
         enqueued = 1
         chain_work = 0
-        peeled_inside = 0
-        sampling = self.algo.sampling
-        indptr = self.indptr
         while queue:
             x = queue.popleft()
-            tg = self.adj[indptr[x] : indptr[x + 1]]
-            chain_work += 1 + len(tg)
-            # Atomics touch every non-sampled neighbor (Alg. 3/5).
-            cont_parts.append(tg[~self.smode[tg]] if sampling else tg)
-            act = tg[self.state[tg] == ACTIVE]
-            if len(act) == 0:
-                continue
-            if sampling:
-                sm = self.smode[act]
-                plain, sampled = act[~sm], act[sm]
-            else:
-                plain, sampled = act, act[:0]
-            if len(plain):
-                self.deg[plain] -= 1  # simple graph: no dups in one list
-                dec_parts.append(plain)
-                dropped = plain[self.deg[plain] <= k]
-                if len(dropped):
-                    # Chain only while the queue and work budgets last,
-                    # and never chain through a high-degree vertex (its
-                    # neighbors are better peeled inner-parallel). The
-                    # work budget is cumulative over the whole batch.
-                    alen = indptr[dropped + 1] - indptr[dropped]
-                    chainable = (
-                        (np.arange(len(dropped)) + enqueued < qcap)
-                        & (chain_work + np.cumsum(alen) <= work_cap)
-                    )
-                    take, spill = dropped[chainable], dropped[~chainable]
-                    if len(take):
-                        self.state[take] = PEELED
-                        self.core[take] = k
-                        queue.extend(take.tolist())
-                        enqueued += len(take)
-                        peeled_inside += len(take)
-                    if len(spill):
-                        self.state[spill] = QUEUED
-                        next_parts.append(spill)
-            if len(sampled):
-                hits = sampled[self.rng.random(len(sampled)) < self.srate[sampled]]
-                if len(hits):
-                    self.scnt[hits] += 1
-                    full = hits[self.scnt[hits] >= self.mu]
-                    if len(full):
-                        resample_parts.append(full)
-        return chain_work, peeled_inside
+            popped.append(x)
+            lo, hi = ip[x], ip[x + 1]
+            chain_work += 1 + hi - lo
+            budget = chain_work
+            chaining = True
+            sampled = []
+            for u in adj[lo:hi]:
+                if state[u] != ACTIVE:
+                    continue
+                if sampling and smode[u]:
+                    sampled.append(u)
+                    continue
+                d = deg[u] - 1  # simple graph: no dups in one list
+                deg[u] = d
+                dec.append(u)
+                if d > k:
+                    continue
+                # Chain only while the queue and work budgets last, and
+                # never chain through a high-degree vertex (its
+                # neighbors are better peeled inner-parallel). The work
+                # budget is cumulative over this pop's dropped vertices.
+                if chaining:
+                    budget += ip[u + 1] - ip[u]
+                    chaining = enqueued < qcap and budget <= work_cap
+                if chaining:
+                    state[u] = PEELED
+                    taken.append(u)
+                    queue.append(u)
+                    enqueued += 1
+                else:
+                    state[u] = QUEUED
+                    spilled.append(u)
+            if sampled:
+                draws = self.rng.random(len(sampled)).tolist()
+                for u, r in zip(sampled, draws):
+                    if r < self.srate[u]:
+                        self.scnt[u] += 1
+                        if self.scnt[u] >= self.mu:
+                            full.append(u)
+        return chain_work
 
     def _peel_local(
         self, frontier: np.ndarray, k: int, *, per_thread: bool
@@ -348,11 +378,17 @@ class _Engine:
         """VGC (bounded local searches; high-degree seeds peel through
         the inner-parallel batch path) or PKC (per_thread=True,
         unbounded per-thread chains). Returns (next frontier, vertices
-        peeled inside chains)."""
+        peeled inside chains).
+
+        After the batch phase, ``deg``/``state``/``smode`` are
+        snapshotted as Python lists, every local search of the subround
+        runs on them, and only the touched entries are written back:
+        decremented degrees, taken vertices (PEELED, core k) and spilled
+        ones (QUEUED). Contention, DecreaseKey moves and resampling are
+        computed, vectorised, from the ids the searches logged.
+        """
         next_parts: list = []
         resample_parts: list = []
-        dec_parts: list = []
-        cont_parts: list = []
         if per_thread:
             qcap = work_cap = math.inf
             low, high = frontier, frontier[:0]
@@ -362,7 +398,6 @@ class _Engine:
             alen = self.indptr[frontier + 1] - self.indptr[frontier]
             low, high = frontier[alen <= work_cap], frontier[alen > work_cap]
         total_work = 0.0
-        peeled_inside = 0
         cmax = 0
         # Batch (inner-parallel) phase for high-degree seeds.
         if len(high):
@@ -376,40 +411,49 @@ class _Engine:
                 self.met.work += self.structure.on_decrement(dec_ids, self.deg)
             if len(resample_set):
                 resample_parts.append(resample_set)
-        # Local searches for low-degree seeds.
-        if per_thread:
-            thread_work = np.zeros(self.mc.p, dtype=np.float64)
-            for i, v in enumerate(low):
-                w, pi = self._local_search(
-                    int(v), k, qcap, work_cap,
-                    next_parts, resample_parts, dec_parts, cont_parts,
-                )
-                thread_work[i % self.mc.p] += w
-                total_work += w
-                peeled_inside += pi
-            chain = float(thread_work.max()) if len(low) else 0.0
-        else:
-            chain = 0.0
-            for v in low:
-                w, pi = self._local_search(
-                    int(v), k, qcap, work_cap,
-                    next_parts, resample_parts, dec_parts, cont_parts,
-                )
-                chain = max(chain, float(w))
-                total_work += w
-                peeled_inside += pi
-        self.met.max_chain = max(self.met.max_chain, int(chain))
-        # Contention: per-location atomic counts across the subround.
-        if cont_parts:
-            touched = np.concatenate(cont_parts)
+        # Local searches for low-degree seeds, on list snapshots.
+        chains: list = []
+        taken: list = []
+        if len(low):
+            deg = self.deg.tolist()
+            state = self.state.tolist()
+            smode = self.smode.tolist() if self.algo.sampling else None
+            log = popped, dec, taken, spilled, full = [], [], [], [], []
+            chains = [
+                self._local_search(v, k, qcap, work_cap, deg, state, smode, log)
+                for v in low.tolist()
+            ]
+            total_work += sum(chains)
+            if taken:
+                self.state[taken] = PEELED
+                self.core[taken] = k
+            if spilled:
+                self.state[spilled] = QUEUED
+                next_parts.append(np.array(spilled, dtype=np.int64))
+            if full:
+                resample_parts.append(np.array(full, dtype=np.int64))
+            # Contention: per-location atomic counts across the
+            # subround, over every non-sampled neighbor of every pop.
+            touched = gather_neighbors(
+                self.indptr, self.adj, np.array(popped, dtype=np.int64)
+            )
+            if self.algo.sampling:
+                touched = touched[~self.smode[touched]]
             if len(touched):
                 _, cts = np.unique(touched, return_counts=True)
                 cmax = max(cmax, int(cts.max()))
-        if dec_parts:
-            all_dec = np.concatenate(dec_parts)
-            if len(all_dec):
-                uts = np.unique(all_dec)
+            if dec:
+                uts = np.unique(np.array(dec, dtype=np.int64))
+                self.deg[uts] = [deg[u] for u in uts.tolist()]
                 self.met.work += self.structure.on_decrement(uts, self.deg)
+        if not chains:
+            chain = 0.0
+        elif per_thread:  # seed i runs on thread i mod P
+            p = self.mc.p
+            chain = float(max(sum(chains[i::p]) for i in range(p)))
+        else:
+            chain = float(max(chains))
+        self.met.max_chain = max(self.met.max_chain, int(chain))
         span = self._contention(cmax) + max(
             0.0, chain - total_work / self.mc.p
         )
@@ -421,7 +465,7 @@ class _Engine:
         nxt = (
             np.unique(np.concatenate(out)) if out else np.empty(0, dtype=np.int64)
         )
-        return nxt, peeled_inside
+        return nxt, len(taken)
 
     # -- main loop -----------------------------------------------------------
 

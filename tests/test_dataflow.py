@@ -111,6 +111,38 @@ def test_sampling_dataflow_exact_and_reduces_skew(spark):
     res_p, st_p = kcore_dataflow_sampling(spark, edges, enable=False)
     assert_equivalent(res_p, "SELECT id, coreness FROM expected", expected=expected)
     assert st_s.resamples > 0
+    assert st_s.n_sampled == 2  # the two hubs
+    assert st_p.n_sampled == 0
     # The dataflow contention analogue: hot-key rows in the histogram
     # shuffle drop by an order of magnitude under sampling.
     assert st_s.max_dst_messages < st_p.max_dst_messages / 3
+
+
+def _late_validation_graph(seed):
+    """Two hubs (0, 1) sharing leaves 6..205, a 4-clique on 2..5 and
+    edges 0-2, 1-3, with ids relabelled by ``seed``. Each hub has true
+    coreness 2, but stays in sample mode until its leaves are gone."""
+    src = [0] * 200 + [1] * 200 + [0, 1]
+    dst = list(range(6, 206)) * 2 + [2, 3]
+    for i in range(2, 6):
+        for j in range(i + 1, 6):
+            src.append(i)
+            dst.append(j)
+    perm = np.random.default_rng(seed).permutation(206)
+    from repro.graphs.csr import build_csr
+
+    return build_csr(206, perm[src], perm[dst])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampling_dataflow_validates_at_end_of_round(spark, seed):
+    """Validate must run before k advances: a hub whose true degree
+    fell to k during round k is peeled at k, not one round late."""
+    from repro.core.sampling import kcore_dataflow_sampling
+
+    g = _late_validation_graph(seed)
+    res, stats = kcore_dataflow_sampling(spark, edges_to_df(spark, g), seed=seed)
+    got = res.toPandas().sort_values("id")
+    assert got["id"].tolist() == list(range(g.n))
+    assert got["coreness"].tolist() == bz_kcore(g).core.tolist()
+    assert stats.n_sampled == 2

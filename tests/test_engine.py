@@ -9,6 +9,7 @@ change, regenerate the file with::
     PYTHONPATH=src python -m tests.test_engine
 """
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,19 @@ from repro.simcpu.configs import (
 )
 
 GRAPHS = list(SUITE)
+VGC = ours_variant(vgc=True, sampling=False, hbs=False)
 CONFIGS = {
     c.name: c
     for c in [OURS, OURS_PLAIN, JULIENNE, PARK, PKC]
     + ALL_COMBOS
     + [bucket_variant("single"), bucket_variant("fixed"), bucket_variant("adaptive")]
+    # Non-default caps: spills at every pop, and sampled-neighbour draws
+    # on hubs that the default threshold leaves alone.
+    + [
+        replace(VGC, name="vgc-q2", vgc_queue=2),
+        replace(VGC, name="vgc-w4", vgc_work_cap=4),
+        replace(OURS, name="ours-s8", sample_threshold=8),
+    ]
 }
 
 
